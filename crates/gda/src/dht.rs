@@ -39,7 +39,7 @@ use gdi::{GdiError, GdiResult};
 use rma::RankCtx;
 
 use crate::config::{GdaConfig, WIN_INDEX};
-use crate::dptr::TaggedIdx;
+use crate::dptr::{TaggedIdx, OFFSET_MASK};
 
 /// Word index of the heap free-list head.
 const HEAP_HEAD_WORD: usize = 0;
@@ -172,29 +172,51 @@ impl<'c, 'f> Dht<'c, 'f> {
         self.ctx.barrier();
     }
 
+    /// `target`'s free-list head (one remote atomic read).
+    fn heap_head(&self, target: usize) -> TaggedIdx {
+        TaggedIdx::from_raw(self.ctx.aget_u64(WIN_INDEX, target, HEAP_HEAD_WORD))
+    }
+
     /// Allocate a heap entry on `target` (tagged-CAS free list, like BGDL
     /// blocks; the link lives in the entry's value word).
     fn alloc(&self, target: usize) -> GdiResult<u64> {
-        let mut head = TaggedIdx::from_raw(self.ctx.aget_u64(WIN_INDEX, target, HEAP_HEAD_WORD));
+        let mut head = self.heap_head(target);
         loop {
-            let idx = head.idx();
-            if idx == 0 {
+            if head.idx() == 0 {
                 return Err(GdiError::OutOfMemory);
             }
-            let link = self
-                .ctx
-                .get_u64(WIN_INDEX, target, self.entry_word(idx) + 1);
-            let prev = self.ctx.cas_u64(
-                WIN_INDEX,
-                target,
-                HEAP_HEAD_WORD,
-                head.raw(),
-                head.bump(link).raw(),
-            );
-            if prev == head.raw() {
-                return Ok(idx);
+            match self.try_pop(target, head) {
+                Ok(idx) => return Ok(idx),
+                Err(seen) => head = seen,
             }
-            head = TaggedIdx::from_raw(prev);
+        }
+    }
+
+    /// One pop attempt against the observed non-empty `head`: `Ok` with
+    /// the popped entry when the CAS installed its successor, else `Err`
+    /// with the head to retry from.
+    fn try_pop(&self, target: usize, head: TaggedIdx) -> Result<u64, TaggedIdx> {
+        let idx = head.idx();
+        let link = self
+            .ctx
+            .get_u64(WIN_INDEX, target, self.entry_word(idx) + 1);
+        if link > OFFSET_MASK {
+            // Lost race: another rank popped `idx` after we read the head
+            // and stored a value with rank bits set where the link was.
+            // The head has moved on, so the CAS could not succeed.
+            return Err(self.heap_head(target));
+        }
+        let prev = self.ctx.cas_u64(
+            WIN_INDEX,
+            target,
+            HEAP_HEAD_WORD,
+            head.raw(),
+            head.bump(link).raw(),
+        );
+        if prev == head.raw() {
+            Ok(idx)
+        } else {
+            Err(TaggedIdx::from_raw(prev))
         }
     }
 
@@ -203,7 +225,7 @@ impl<'c, 'f> Dht<'c, 'f> {
     fn dealloc(&self, target: usize, idx: u64) {
         let ew = self.entry_word(idx);
         self.ctx.put_u64(WIN_INDEX, target, ew, FREE_KEY);
-        let mut head = TaggedIdx::from_raw(self.ctx.aget_u64(WIN_INDEX, target, HEAP_HEAD_WORD));
+        let mut head = self.heap_head(target);
         loop {
             self.ctx.put_u64(WIN_INDEX, target, ew + 1, head.idx());
             let prev = self.ctx.cas_u64(
@@ -516,6 +538,30 @@ mod tests {
         }
         assert!(ranks.len() >= 6, "poor rank dispersion: {ranks:?}");
         assert_ne!(hash64(1), hash64(2));
+    }
+
+    /// A pop whose head read went stale reads the link word of an entry
+    /// another rank has since allocated; a stored `DPtr` value there has
+    /// rank bits set. That is a lost race to retry, not a link to build a
+    /// head from (debug builds used to trip the `TaggedIdx` range assert).
+    #[test]
+    fn stale_pop_retries_on_pointer_value() {
+        let (f, cfg) = fabric(1);
+        f.run(|ctx| {
+            let dht = Dht::new(ctx, cfg);
+            dht.init_collective();
+            let stale = dht.heap_head(0);
+            // the racing allocator wins: it pops the head entry and
+            // publishes a pointer to a remote rank's object in it
+            let remote = crate::DPtr::new(1, 64).raw();
+            assert!(remote > OFFSET_MASK);
+            dht.insert(7, remote).unwrap();
+            let fresh = dht.heap_head(0);
+            assert_ne!(fresh, stale);
+            assert_eq!(dht.try_pop(0, stale), Err(fresh));
+            assert_eq!(dht.alloc(0).unwrap(), fresh.idx());
+            assert_eq!(dht.lookup(7), Some(remote));
+        });
     }
 
     #[test]

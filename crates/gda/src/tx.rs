@@ -417,13 +417,14 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         Ok(())
     }
 
-    /// Batch-fetch every uncached holder in `ids` with one pipelined
-    /// non-blocking batch per chain level ([`hio::read_chains`]),
-    /// acquiring the usual first-touch read locks. Equivalent to
-    /// calling [`Transaction::ensure_cached`] per id — same lock, abort
-    /// and error semantics — but the block reads of all candidates
-    /// overlap instead of paying one blocking round trip each.
-    fn prefetch_holders(&self, ids: &[DPtr]) -> GdiResult<()> {
+    /// Batch-fetch every uncached holder in `ids` into the transaction
+    /// cache with one pipelined non-blocking batch per chain level
+    /// ([`hio::read_chains`]), acquiring the usual first-touch read
+    /// locks. Equivalent to a first read of each id — same lock, abort
+    /// and error semantics — but the block reads of all ids overlap
+    /// instead of paying one blocking round trip each; later reads of
+    /// these ids are served from the cache.
+    pub fn prefetch_holders(&self, ids: &[DPtr]) -> GdiResult<()> {
         self.check_active()?;
         let mut want: Vec<DPtr> = Vec::new();
         {

@@ -33,9 +33,10 @@ impl fmt::Display for AccessPath {
 /// How expansion stages traverse edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExpandPath {
-    /// Per-binding transactional neighbor fetch
-    /// ([`gda::Transaction::neighbors_matching`] — pipelined one-sided
-    /// chain reads plus holder filters).
+    /// Transactional neighbor fetch once per distinct frontier vertex,
+    /// with the frontier's holders (and filtered targets' holders)
+    /// fetched as pipelined one-sided batches
+    /// ([`gda::Transaction::prefetch_holders`]).
     Tx,
     /// Route bindings to edge owners with `alltoallv` and probe the
     /// cached [`gda::CsrView`] adjacency (plus a broadcast semi-join of
@@ -85,9 +86,15 @@ pub struct StagePlan {
 pub struct StageStats {
     /// Operator description (mirrors the [`StagePlan`] entry).
     pub desc: String,
-    /// Bindings surviving the stage on this rank.
+    /// Distinct live bindings this rank holds after the stage: the
+    /// `(cur, root)` pairs after a dead `root` is nulled out and
+    /// duplicates dropped (for the aggregate stage, the distinct targets
+    /// this rank owns).
     pub rows: u64,
-    /// Adjacency entries inspected by the stage on this rank.
+    /// Adjacency entries this rank inspected: the edge-label-matching
+    /// entries of each distinct frontier vertex, counted once per
+    /// vertex however many roots share it (0 for the driving and
+    /// aggregate stages).
     pub expanded: u64,
     /// Bytes this rank contributed to stage-level exchanges.
     pub comm_bytes: u64,

@@ -102,7 +102,7 @@ fn arb_query() -> impl Strategy<Value = QuerySketch> {
         prop::option::of(0usize..4),
         prop::option::of((0usize..4, arb_op(), any::<u64>())),
         prop::option::of(0u64..96),
-        prop::collection::vec(arb_expand(), 0..3),
+        prop::collection::vec(arb_expand(), 0..4),
         any::<bool>(),
         0u8..3,
         0usize..4,
@@ -162,14 +162,17 @@ fn build_query(meta: &LpgMeta, s: &QuerySketch) -> Query {
     }
 }
 
-/// Run `q` through the planner-picked plan and every viable forced
-/// choice on a fresh `nranks`-rank database; every result must equal the
-/// sequential oracle.
-fn assert_all_paths_match(nranks: usize, spec: &GraphSpec, sketches: &[QuerySketch]) {
+/// Run every query `build` makes from the installed metadata through
+/// the planner-picked plan and every viable forced choice on a fresh
+/// `nranks`-rank database; every result must equal the sequential
+/// oracle.
+fn assert_all_paths_match<F>(nranks: usize, spec: &GraphSpec, build: F)
+where
+    F: Fn(&LpgMeta) -> Vec<Query> + Sync,
+{
     let cfg = sized_config(spec, nranks);
     let (db, fabric) = GdaDb::with_fabric("qdiff", cfg, nranks, CostModel::zero());
     let spec = *spec;
-    let sketches = sketches.to_vec();
     let outcomes = fabric.run(move |ctx| {
         let eng = db.attach(ctx);
         eng.init_collective();
@@ -177,8 +180,7 @@ fn assert_all_paths_match(nranks: usize, spec: &GraphSpec, sketches: &[QuerySket
         let _ = eng.olap_view();
         let cat = planner::Catalog::gather(&eng);
         let mut failures: Vec<String> = Vec::new();
-        for (qi, s) in sketches.iter().enumerate() {
-            let q = build_query(&meta, s);
+        for (qi, q) in build(&meta).into_iter().enumerate() {
             let want = reference_eval(&spec, &meta, &q);
             let picked = planner::plan(&cat, &q);
             let got = executor::execute(&eng, &q, &picked);
@@ -229,7 +231,105 @@ proptest! {
     ) {
         let nranks = [1usize, 2, 4][pidx];
         let spec = rich_spec(scale, edge_factor, seed);
-        assert_all_paths_match(nranks, &spec, &sketches);
+        assert_all_paths_match(nranks, &spec, move |meta| {
+            sketches.iter().map(|s| build_query(meta, s)).collect()
+        });
+    }
+}
+
+// ---------------------------------------------------------------------
+// Deterministic shapes for the executor's column liveness and grouped
+// frontier probes
+// ---------------------------------------------------------------------
+
+/// Shapes where the `root` column stays live past open hops, cycles
+/// close under `Any` orientation or an edge label, and `sum`/`collect`
+/// run on both targets.
+fn liveness_shapes(meta: &LpgMeta) -> Vec<Query> {
+    let (l0, l1, l2) = (meta.label(0), meta.label(1), meta.label(2));
+    let (p0, p1, p2) = (meta.ptype(0), meta.ptype(1), meta.ptype(2));
+    let two_open_hops = || {
+        QueryBuilder::node("a")
+            .prop_gt(p0, u64::MAX / 2)
+            .expand_out(None)
+            .to("b")
+            .expand_out(None)
+            .to("c")
+            .prop_gt(p1, u64::MAX / 4)
+    };
+    let any_close = || {
+        QueryBuilder::node("a")
+            .label(l0)
+            .expand_any(None)
+            .to("b")
+            .expand_any(None)
+            .to("c")
+            .expand_any(None)
+            .close_cycle()
+    };
+    let labeled_close = || {
+        QueryBuilder::node("a")
+            .expand_out(Some(l1))
+            .to("b")
+            .label(l2)
+            .expand_out(None)
+            .to("c")
+            .expand_out(Some(l1))
+            .close_cycle()
+    };
+    let self_close = || QueryBuilder::node("a").expand_out(None).close_cycle();
+    vec![
+        // root stays live after two open hops
+        two_open_hops().count(AggTarget::Root),
+        two_open_hops().sum(AggTarget::Root, p2),
+        two_open_hops().collect_ids(AggTarget::Root),
+        two_open_hops().sum(AggTarget::Last, p2),
+        two_open_hops().collect_ids(AggTarget::Last),
+        // cycles closed under `Any` orientation
+        any_close().count(AggTarget::Root),
+        any_close().sum(AggTarget::Last, p0),
+        any_close().collect_ids(AggTarget::Last),
+        // cycles closed with an edge label
+        labeled_close().count(AggTarget::Root),
+        labeled_close().collect_ids(AggTarget::Root),
+        labeled_close().sum(AggTarget::Last, p1),
+        labeled_close().count(AggTarget::Last),
+        // a one-step cycle: the self-loops
+        self_close().collect_ids(AggTarget::Root),
+        self_close().sum(AggTarget::Last, p2),
+        // a closing step in the middle of the chain: `root` dies after it
+        QueryBuilder::node("a")
+            .label(l1)
+            .expand_any(Some(l0))
+            .to("b")
+            .expand_any(None)
+            .close_cycle()
+            .expand_out(None)
+            .to("c")
+            .collect_ids(AggTarget::Last),
+    ]
+}
+
+#[test]
+fn liveness_shapes_match_oracle_on_all_paths() {
+    for nranks in [1usize, 2, 4] {
+        assert_all_paths_match(nranks, &rich_spec(6, 6, 31), liveness_shapes);
+    }
+}
+
+/// A dense 16-vertex Kronecker graph is full of self-loops and parallel
+/// edges: every frontier group meets repeated adjacency entries.
+#[test]
+fn self_loops_and_multi_edges_match_oracle_on_all_paths() {
+    let spec = rich_spec(4, 16, 5);
+    let edges = spec.edges_for_rank(0, 1);
+    assert!(edges.iter().any(|(u, v)| u == v), "no self-loop");
+    let mut distinct = edges.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert!(distinct.len() < edges.len(), "no multi-edge");
+    for nranks in [1usize, 2, 4] {
+        assert_all_paths_match(nranks, &spec, liveness_shapes);
     }
 }
 
