@@ -101,60 +101,15 @@ impl<'c, 'f> BlockManager<'c, 'f> {
         }
     }
 
-    /// Claim a *specific* block out of its owner's free list, if it is
-    /// free: returns `true` when `dp` was unlinked (the caller now owns
-    /// it), `false` when `dp` is not on the free list (already
-    /// allocated). **Recovery primitive**: redo-log replay must
-    /// materialize objects at their original addresses so that
-    /// persisted `DPtr` references stay valid; it walks the quiesced
-    /// free list and unlinks the exact block. Requires quiescence — the
-    /// walk-then-unlink is not safe against concurrent pool traffic.
-    pub fn acquire_at(&self, dp: DPtr) -> bool {
-        debug_assert!(!dp.is_null(), "claiming the null block");
-        let target = dp.rank();
-        let want = dp.offset() / self.cfg.block_size as u64;
-        debug_assert!(want >= 1 && want <= self.cfg.blocks_per_rank as u64);
-        let head = TaggedIdx::from_raw(self.ctx.aget_u64(WIN_SYSTEM, target, HEAD_WORD));
-        let mut cur = head.idx();
-        if cur == 0 {
-            return false;
-        }
-        if cur == want {
-            let next = self.ctx.get_u64(WIN_USAGE, target, want as usize);
-            self.ctx
-                .put_u64(WIN_SYSTEM, target, HEAD_WORD, head.bump(next).raw());
-            return true;
-        }
-        let mut steps = 0usize;
-        loop {
-            let next = self.ctx.get_u64(WIN_USAGE, target, cur as usize);
-            if next == 0 {
-                return false;
-            }
-            if next == want {
-                let after = self.ctx.get_u64(WIN_USAGE, target, want as usize);
-                self.ctx.put_u64(WIN_USAGE, target, cur as usize, after);
-                return true;
-            }
-            cur = next;
-            steps += 1;
-            assert!(
-                steps <= self.cfg.blocks_per_rank,
-                "free-list cycle during acquire_at"
-            );
-        }
-    }
-
     /// Rebuild `target`'s free list in **ascending block order**.
     /// Sustained acquire/release churn leaves the LIFO list in arrival
     /// order, so a block freed long ago can sit behind hundreds of
     /// recently freed ones; after a vacuum, `acquire` hands out the
     /// lowest-numbered free blocks first, which keeps live data packed
     /// at the front of the window (smaller deltas, better scan
-    /// locality) and gives [`BlockManager::acquire_at`] short walks at
-    /// recovery. **Maintenance primitive** — requires quiescence, like
-    /// [`BlockManager::acquire_at`]: the walk-then-rewrite is not safe
-    /// against concurrent pool traffic. Returns the free-block count.
+    /// locality). **Maintenance primitive** — requires quiescence: the
+    /// walk-then-rewrite is not safe against concurrent pool traffic.
+    /// Returns the free-block count.
     pub fn vacuum_free_list(&self, target: usize) -> usize {
         let head = TaggedIdx::from_raw(self.ctx.aget_u64(WIN_SYSTEM, target, HEAD_WORD));
         let mut idx = head.idx();
@@ -244,35 +199,6 @@ mod tests {
                 n += 1;
             }
             assert_eq!(n, cfg.blocks_per_rank);
-        });
-    }
-
-    #[test]
-    fn acquire_at_claims_specific_blocks() {
-        let (f, cfg) = setup(1);
-        f.run(|ctx| {
-            let bm = BlockManager::new(ctx, cfg);
-            bm.init_collective();
-            // claim a block from the middle of the pristine list
-            let mid = DPtr::new(0, (cfg.blocks_per_rank / 2) as u64 * cfg.block_size as u64);
-            assert!(bm.acquire_at(mid));
-            assert!(!bm.acquire_at(mid), "already claimed");
-            assert_eq!(bm.count_free(0), cfg.blocks_per_rank - 1);
-            // the head block is claimable too
-            let head = bm.acquire(0).unwrap();
-            bm.release(head);
-            assert!(bm.acquire_at(head));
-            // ordinary allocation never hands out a claimed block
-            let mut seen = HashSet::new();
-            while let Ok(dp) = bm.acquire(0) {
-                assert!(seen.insert(dp));
-                assert_ne!(dp, mid);
-                assert_ne!(dp, head);
-            }
-            assert_eq!(seen.len(), cfg.blocks_per_rank - 2);
-            // released claims come back through the ordinary path
-            bm.release(mid);
-            assert_eq!(bm.acquire(0).unwrap(), mid);
         });
     }
 

@@ -40,8 +40,7 @@ pub const HEADER_BYTES: usize = 48;
 /// Holder flag: this holder describes a (heavyweight) edge, not a vertex.
 pub const FLAG_EDGE_HOLDER: u32 = 1;
 /// Byte offset of the `commit_epoch` field within a serialized holder
-/// (persistence reads it straight out of redo-record bytes to re-derive
-/// the watermark after a crash).
+/// (a fixed part of the holder layout).
 pub const COMMIT_EPOCH_OFFSET: usize = 32;
 /// Mask of the archive-chain **depth** packed into flag bits 16..24.
 pub(crate) const DEPTH_MASK: u32 = 0xFF << 16;

@@ -17,12 +17,13 @@
 //!   log tail*. Appends are charged to the LogGP clock through
 //!   [`rma::RankCtx::record_log_write`]; group commit amortizes the
 //!   fixed submission overhead exactly as it amortizes RMA doorbells;
-//! * **recovery** ([`recover`]): reads the `CURRENT` pointer, rebuilds
-//!   the database object (catalog, index definitions) and a fresh
-//!   fabric, then — collectively, inside `fabric.run` — restores every
-//!   rank's windows and replays the redo tails
-//!   ([`RecoveryPlan::restore_rank`]), ending with a fresh checkpoint
-//!   so the next crash replays from a clean boundary.
+//! * **recovery** ([`recover`]): reads the `CURRENT` pointer and the
+//!   snapshot chain, replays the redo tails logically into one object
+//!   map, rebuilds the database object (catalog, index definitions) and
+//!   a fresh fabric, then — collectively, inside `fabric.run` —
+//!   redistributes the objects onto the live ranks
+//!   ([`RecoveryPlan::restore_rank`]), ending with a mandatory full
+//!   checkpoint so the next crash replays from a clean boundary.
 //!
 //! ## Snapshot publication protocol
 //!
@@ -57,37 +58,23 @@
 //!
 //! ## Replay semantics
 //!
-//! Replay is collective and *phased*: ranks replay their logs one at a
-//! time (barriers in between), so the lock-free structures see no
-//! concurrency during recovery. Each [`RedoRecord::Upsert`] carries the
-//! holder's post-commit **version** (bumped under the object's write
-//! lock, hence strictly monotone per live object): a record applies
-//! only if it is newer than the object's current state, which makes
-//! replay idempotent and resolves cross-log ordering for objects
-//! mutated from several ranks (e.g. mirror edge records). Objects are
-//! re-materialized at their **original addresses**
-//! ([`crate::blocks::BlockManager::acquire_at`]) so persisted `DPtr`
-//! references stay valid. Replay runs in three sweeps, each phased over
-//! all ranks:
-//!
-//! 1. **reserve** — claim every upserted primary block out of the free
-//!    lists, so no replayed chain's continuation allocation can steal a
-//!    primary another record still needs. Primaries actually *pulled
-//!    from a free list* here are remembered: they were free at snapshot
-//!    time, so later sweeps treat any bytes still decodable there (a
-//!    stale pre-checkpoint incarnation — deletes leave data and chain
-//!    pointers intact) as vacant rather than as an occupant, and any
-//!    still unwritten after the last sweep (all their records refused
-//!    by a tombstone) are released back to the pool;
-//! 2. **deletes** — committed deletes land first, each leaving an
-//!    identity-keyed *tombstone* `(primary, app_id, is_edge) →
-//!    (version, rank, log position)`; their freed blocks go into a
-//!    *deferred* set refilled into the pools only after the last sweep;
-//! 3. **upserts** — in log order; a record at or before its object's
-//!    tombstoned delete (same log: earlier position; cross-log: not a
-//!    newer version) is refused, so a stale mirror update can never
-//!    resurrect a deleted vertex, while a genuine recreate — or a
-//!    different object reusing the block — applies cleanly.
+//! Every recovery — at the snapshot's own rank count or at a different
+//! one — runs one logical engine (the `reshard` module). Each
+//! [`RedoRecord::Upsert`] carries the holder's post-commit **version**
+//! (a commit stamp taken under the object's write lock, hence strictly
+//! monotone per object across delete/recreate): a record applies only
+//! if it is newer than the object's current state, which makes replay
+//! idempotent and orders records of objects mutated from several ranks
+//! (e.g. mirror edge records). Before the fabric exists, the snapshot
+//! chain is folded and lifted into an object map keyed by the old
+//! primary, and the redo tails replay against it: committed deletes
+//! first, each leaving an identity-keyed tombstone, then upserts in log
+//! order, refused at or before their object's tombstone. The live
+//! fabric then allocates every object afresh on its owner rank,
+//! rewrites embedded `DPtr`s through an old→new table, rebuilds the DHT
+//! and index postings, and publishes a **mandatory** full checkpoint.
+//! A failure anywhere is voted collectively and leaves `CURRENT` (and
+//! every committed redo frame) in place, so a retry recovers.
 //!
 //! Two scope rules are deliberate (documented in
 //! `docs/ARCHITECTURE.md`): catalog DDL (labels, property types, index
@@ -105,7 +92,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 
 use gdi::{
     AppVertexId, Datatype, EntityType, GdiError, GdiResult, LabelId, Multiplicity, PTypeId,
@@ -117,8 +104,6 @@ use crate::config::{GdaConfig, WIN_DATA, WIN_INDEX, WIN_SYSTEM, WIN_USAGE};
 use crate::db::{GdaDb, GdaRank};
 use crate::dptr::DPtr;
 use crate::faults::{self, FaultMode, FaultPlane};
-use crate::hio;
-use crate::holder::Holder;
 use crate::index::{IndexDef, IndexId, IndexShared, Posting};
 use crate::meta::{MetaParts, MetaStore, PTypeDef};
 
@@ -1261,8 +1246,8 @@ fn write_rank_snapshot(
 
 /// One rank's decoded snapshot file: the four window images (in
 /// [`ALL_WINDOWS`] order: data, usage, system, index) plus the rank's
-/// index postings. Shared with the reshard path, which lifts logical
-/// contents out of the images instead of restoring them verbatim.
+/// index postings. Recovery lifts the logical contents out of the
+/// images (see `reshard::plan`).
 pub(crate) struct RankSnapshot {
     pub(crate) windows: Vec<Vec<u8>>,
     pub(crate) postings: Vec<(IndexId, Vec<Posting>)>,
@@ -1392,10 +1377,9 @@ fn read_snapshot_piece(
 }
 
 /// Fold the published snapshot chain into one logical rank image: the
-/// full base restores every window verbatim, each delta overlays its
-/// dirty chunks in chain order, and the *last* file's postings win
-/// (every file carries the rank's full posting set). Both the
-/// same-topology restore and the resharded restore go through here.
+/// full base supplies every window, each delta overlays its dirty
+/// chunks in chain order, and the *last* file's postings win (every
+/// file carries the rank's full posting set).
 pub(crate) fn read_rank_snapshot_chain(
     store: &PersistStore,
     chain: &[u64],
@@ -1508,9 +1492,8 @@ fn checkpoint_rank_inner(eng: &GdaRank, force_full: bool) -> GdiResult<u64> {
     // the chain is empty (genesis, or right after one), has hit the
     // length cap (bounds recovery-time folding and lets gc reclaim old
     // bases), or any rank dirtied enough of its windows that a delta
-    // stops paying for itself (≥ half the chunks; recovery restores
-    // mark everything, so the first post-recovery checkpoint naturally
-    // rebases).
+    // stops paying for itself (≥ half the chunks). Recovery closes with
+    // an explicit full checkpoint.
     let chain = store.chain();
     let my_dirty = rma::dirty::dirty_chunks(&drained);
     let chunk = ctx.dirty_chunk_bytes();
@@ -1637,39 +1620,35 @@ fn checkpoint_rank_inner(eng: &GdaRank, force_full: bool) -> GdiResult<u64> {
 pub struct RankRecovery {
     /// This rank's id.
     pub rank: usize,
-    /// Snapshot bytes this rank restored (0 at genesis).
+    /// Snapshot bytes of the shards this rank read (0 at genesis).
     pub snapshot_bytes: u64,
-    /// Redo-log bytes this rank parsed.
+    /// Redo-log bytes of the shards this rank read.
     pub log_bytes: u64,
-    /// Records in this rank's log tail.
+    /// Records in the log tails of the shards this rank read.
     pub records: u64,
-    /// Records applied (newer than the restored state).
+    /// Records the logical replay applied (newer than the restored
+    /// state). A global count over every log, reported by rank 0 only.
     pub applied: u64,
-    /// Records skipped (older than or equal to the restored state —
-    /// e.g. a re-replay after a recovery-time crash).
+    /// Records the logical replay skipped (older than or equal to the
+    /// restored state, or refused by a tombstone — e.g. a re-replay
+    /// after a recovery-time crash). Global, reported by rank 0 only.
     pub skipped: u64,
-    /// Records that failed to apply (resource exhaustion during
-    /// replay; should be zero).
+    /// Records that failed to apply plus references that could not be
+    /// rewritten during redistribution (should be zero).
     pub errors: u64,
     /// Simulated seconds of restore + replay on this rank.
     pub sim_restore_s: f64,
     /// Wall-clock seconds of restore + replay on this rank.
     pub wall_restore_s: f64,
-    /// Id of the checkpoint taken at the end of recovery (`None` if it
-    /// failed; the database still serves, logs keep appending — except
-    /// for a resharded recovery, where the closing checkpoint is
-    /// mandatory and its failure fails the restore).
+    /// Id of the full checkpoint that closed the recovery. The closing
+    /// checkpoint is mandatory (a failed one fails the restore), so a
+    /// successful restore always carries `Some`.
     pub final_checkpoint: Option<u64>,
     /// `Some(P)` when this restore resharded a `P`-rank snapshot onto a
-    /// different live rank count (see [`recover_with_topology`]).
+    /// different live rank count (see [`recover_with_topology`]); `None`
+    /// at the snapshot's own topology.
     pub resharded_from: Option<usize>,
 }
-
-/// Tombstone key: the deleted object's identity `(primary, app_id,
-/// is_edge)`.
-type TombKey = (u64, u64, bool);
-/// Tombstone value: `(version at delete, deleting rank, log position)`.
-type TombInfo = (u64, usize, usize);
 
 /// The collective restore work [`recover`] hands back: every rank of
 /// the freshly built fabric must call [`RecoveryPlan::restore_rank`]
@@ -1677,29 +1656,10 @@ type TombInfo = (u64, usize, usize);
 pub struct RecoveryPlan {
     snapshot_id: u64,
     restored: Vec<AtomicBool>,
-    deferred: Mutex<FxHashSet<u64>>,
-    /// Primaries sweep 1 actually *pulled out of a free list*: the block
-    /// was free at snapshot time, so any bytes still decodable there are
-    /// a stale pre-checkpoint incarnation (deletes leave data and the
-    /// chain pointer intact), never an occupant. Replay treats these as
-    /// vacant — following a stale chain would free or overwrite
-    /// continuation blocks that now belong to other objects. A primary
-    /// still claimed after the last sweep (its only upserts were refused
-    /// by a tombstone) is released back to the pool.
-    claimed: Mutex<FxHashSet<u64>>,
-    /// Replayed deletes, keyed by object identity `(primary, app_id,
-    /// is_edge)` → `(version at delete, deleting rank, log position)`.
-    /// Deletes replay in a first pass; an upsert in the second pass
-    /// consults its own identity's tombstone to distinguish a genuinely
-    /// later state (same log at a later position, or a newer version
-    /// cross-log) from an older record of the deleted object — which
-    /// must never resurrect it.
-    tombstones: Mutex<FxHashMap<TombKey, TombInfo>>,
-    /// `Some` when the plan restores onto a different rank count than
-    /// the snapshot was written by: [`RecoveryPlan::restore_rank`] then
-    /// runs the elastic redistribution of the `reshard` module instead of
-    /// the physical window restore.
-    reshard: Option<crate::reshard::ReshardState>,
+    /// The logically replayed database and its placement on the live
+    /// topology (an identity [`crate::rankmap::RankMap`] when the rank
+    /// count is unchanged).
+    reshard: crate::reshard::ReshardState,
     stats: Mutex<Vec<Option<RankRecovery>>>,
 }
 
@@ -1720,13 +1680,14 @@ impl RecoveryPlan {
     /// `Some(P)` when this plan reshards a `P`-rank snapshot onto a
     /// different live topology; `None` for a same-topology restore.
     pub fn resharding_from(&self) -> Option<usize> {
-        self.reshard.as_ref().map(|rs| rs.map.snapshot_ranks())
+        let map = self.reshard.map;
+        (!map.is_identity()).then(|| map.snapshot_ranks())
     }
 
-    /// Number of logical objects a resharded restore will redistribute
-    /// (0 for a same-topology restore). Diagnostic/bench support.
+    /// Number of logical objects the restore redistributes.
+    /// Diagnostic/bench support.
     pub fn reshard_objects(&self) -> usize {
-        self.reshard.as_ref().map_or(0, |rs| rs.object_count())
+        self.reshard.object_count()
     }
 
     /// Per-rank recovery stats (filled as ranks finish restoring).
@@ -1734,10 +1695,12 @@ impl RecoveryPlan {
         self.stats.lock().clone()
     }
 
-    /// Collective: restore this rank's windows from the snapshot and
-    /// replay the redo tails (phased across ranks), then take a fresh
-    /// checkpoint. Every rank of the fabric must call this together,
-    /// once; repeated calls return the recorded stats.
+    /// Collective: materialize the logically replayed database on this
+    /// rank, then take the closing full checkpoint (see
+    /// the `reshard` module). Every rank of the fabric must call this
+    /// together, once; repeated calls return the recorded stats. A
+    /// failure surfaces on every rank and leaves `CURRENT` unchanged, so
+    /// a fresh [`recover`] retries from the same snapshot.
     pub fn restore_rank(&self, eng: &GdaRank) -> GdiResult<RankRecovery> {
         let me = eng.rank();
         if self.restored[me].swap(true, Ordering::SeqCst) {
@@ -1748,475 +1711,51 @@ impl RecoveryPlan {
         let store = eng
             .persistence()
             .ok_or(GdiError::InvalidArgument("persistence not enabled"))?;
-        // elastic path: the snapshot was written by a different rank
-        // count — redistribute instead of restoring windows verbatim
-        if let Some(rs) = &self.reshard {
-            return match crate::reshard::restore_rank_resharded(rs, eng, &store) {
-                Ok(out) => {
-                    self.stats.lock()[me] = Some(out.clone());
-                    Ok(out)
-                }
-                Err(e) => {
-                    self.restored[me].store(false, Ordering::SeqCst);
-                    Err(e)
-                }
-            };
-        }
-        let ctx = eng.ctx();
-        let wall0 = Instant::now();
-        let sim0 = ctx.now_ns();
-        // observe the live topology-epoch word *before* the window
-        // restore rewinds it to its snapshot value: an in-place
-        // recovery must leave the word strictly above every value a
-        // pre-crash scan view could have been stamped with, or such a
-        // view could revalidate after enough post-recovery commits
-        let topo_word = eng.cfg().topo_word();
-        let topo_before = ctx.aget_u64(crate::config::WIN_SYSTEM, me, topo_word);
-        let mut out = RankRecovery {
-            rank: me,
-            ..Default::default()
-        };
-
-        // ---- read snapshot + redo tail, then vote ------------------
-        // Every fallible step happens before the first barrier and is
-        // voted on (like a collective commit): if any rank fails, all
-        // ranks return an error together — an early unilateral return
-        // would leave the peers deadlocked in the sweep barriers.
-        let snap_read: GdiResult<Option<RankSnapshot>> = if self.snapshot_id == 0 {
-            Ok(None)
-        } else {
-            read_rank_snapshot_chain(&store, &store.chain(), me, eng.cfg(), eng.nranks()).and_then(
-                |snap| {
-                    for (win, bytes) in ALL_WINDOWS.iter().zip(&snap.windows) {
-                        if bytes.len() != ctx.win_len_bytes(*win) {
-                            return Err(GdiError::Io("snapshot window size mismatch".into()));
-                        }
-                    }
-                    Ok(Some(snap))
-                },
-            )
-        };
-        // only a genuinely absent redo log counts as an empty tail;
-        // any other I/O error must surface, not silently drop commits
-        let log_path = store.log_path(me);
-        let log_read = match fs::read(&log_path) {
-            Ok(b) => Ok(b),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-            Err(e) => Err(io_err("read redo segment", e)),
-        };
-        let log_read = match (log_read, store.probe_fault(faults::REDO_READ, me)) {
-            (Ok(mut b), Some(FaultMode::BitFlip(k))) => {
-                // silent media corruption: the frame checksum must catch
-                // it and replay truncates at the last valid frame
-                faults::flip_bit(&mut b, k);
-                Ok(b)
+        match crate::reshard::restore_rank_resharded(&self.reshard, eng, &store) {
+            Ok(out) => {
+                self.stats.lock()[me] = Some(out.clone());
+                Ok(out)
             }
-            (Ok(_), Some(_)) => Err(GdiError::Io("injected redo read failure".into())),
-            (r, _) => r,
-        };
-        let my_err = snap_read.is_err() || log_read.is_err();
-        if ctx.allreduce_any(my_err) {
-            self.restored[me].store(false, Ordering::SeqCst);
-            return Err(snap_read
-                .err()
-                .or(log_read.err())
-                .unwrap_or_else(|| GdiError::Io("recovery failed on a peer rank".into())));
-        }
-
-        // ---- restore windows + postings (or re-init at genesis) -----
-        match snap_read.unwrap() {
-            None => eng.init_collective(),
-            Some(snap) => {
-                for (win, bytes) in ALL_WINDOWS.iter().zip(&snap.windows) {
-                    ctx.put_bytes(*win, me, 0, bytes);
-                }
-                eng.indexes().import_rank(me, snap.postings);
-                out.snapshot_bytes = snap.bytes;
-                ctx.barrier();
+            Err(e) => {
+                self.restored[me].store(false, Ordering::SeqCst);
+                Err(e)
             }
         }
-
-        // ---- parse the redo tail, truncate any torn frame -----------
-        // Frames stamped below the snapshot id are leftovers of a crash
-        // between publish and truncation (or a failed truncation):
-        // their commits are already in the restored chain, and
-        // re-applying a pre-snapshot *delete* against post-snapshot
-        // state would free blocks the free list already owns.
-        let log_bytes = log_read.unwrap();
-        let (records, valid_len) = parse_log(&log_bytes, self.snapshot_id);
-        if valid_len < log_bytes.len() {
-            if let Ok(f) = OpenOptions::new().write(true).open(&log_path) {
-                let _ = f.set_len(valid_len as u64);
-            }
-        }
-        // replay reads the tail back at device speed
-        ctx.charge_ns(ctx.cost_model().log_write(valid_len));
-        out.log_bytes = valid_len as u64;
-        out.records = records.len() as u64;
-
-        // ---- sweep 1 (phased): reserve every upserted primary -------
-        for phase in 0..eng.nranks() {
-            if phase == me {
-                for rec in &records {
-                    if let RedoRecord::Upsert { primary, .. } = rec {
-                        // a primary actually pulled from a free list was
-                        // free at snapshot time: whatever bytes it still
-                        // holds are stale, not an occupant (see
-                        // `RecoveryPlan::claimed`)
-                        if eng.bm.acquire_at(DPtr::from_raw(*primary)) {
-                            self.claimed.lock().insert(*primary);
-                        }
-                    }
-                }
-            }
-            ctx.barrier();
-        }
-
-        // ---- sweep 2 (phased): replay deletes first. Every committed
-        // delete lands (or tombstones) before any upsert replays, so an
-        // upsert in sweep 3 never faces a live occupant it would have
-        // to guess about — the occupant is either the object's own
-        // older state or vacated bytes.
-        for phase in 0..eng.nranks() {
-            if phase == me {
-                for (seq, rec) in records.iter().enumerate() {
-                    if matches!(rec, RedoRecord::Delete { .. }) {
-                        match apply_record(eng, rec, seq, self) {
-                            Ok(true) => out.applied += 1,
-                            Ok(false) => out.skipped += 1,
-                            Err(_) => out.errors += 1,
-                        }
-                    }
-                }
-            }
-            ctx.barrier();
-        }
-
-        // ---- sweep 3 (phased): replay upserts in log order ----------
-        for phase in 0..eng.nranks() {
-            if phase == me {
-                for (seq, rec) in records.iter().enumerate() {
-                    if matches!(rec, RedoRecord::Upsert { .. }) {
-                        match apply_record(eng, rec, seq, self) {
-                            Ok(true) => out.applied += 1,
-                            Ok(false) => out.skipped += 1,
-                            Err(_) => out.errors += 1,
-                        }
-                    }
-                }
-            }
-            ctx.barrier();
-        }
-
-        // ---- release deferred frees (each rank its own pool) --------
-        // A primary still in the claimed set was pulled from a free list
-        // in sweep 1 but every record for it was refused by a tombstone
-        // (object created and deleted post-checkpoint): hand it back
-        // too, or it leaks — and the end-of-recovery checkpoint would
-        // persist the leak.
-        {
-            let mut deferred = self.deferred.lock();
-            let mut claimed = self.claimed.lock();
-            let mine: FxHashSet<u64> = deferred
-                .iter()
-                .chain(claimed.iter())
-                .copied()
-                .filter(|raw| DPtr::from_raw(*raw).rank() == me)
-                .collect();
-            for raw in mine {
-                deferred.remove(&raw);
-                claimed.remove(&raw);
-                eng.bm.release(DPtr::from_raw(raw));
-            }
-        }
-        ctx.barrier();
-
-        // advance every rank's commit-stamp counter past the largest
-        // replayed version: future commits must stamp strictly above
-        // anything the redo tails reintroduced (matters at genesis,
-        // where the counters restart at zero)
-        let my_max = records
-            .iter()
-            .map(|r| match r {
-                RedoRecord::Upsert { version, .. } | RedoRecord::Delete { version, .. } => *version,
-            })
-            .max()
-            .unwrap_or(0);
-        let global_max = ctx.allreduce_max_u64(my_max);
-        let stamp_word = eng.cfg().stamp_word();
-        let cur = ctx.aget_u64(crate::config::WIN_SYSTEM, me, stamp_word);
-        if cur < global_max {
-            ctx.aput_u64(crate::config::WIN_SYSTEM, me, stamp_word, global_max);
-        }
-        // MVCC: re-derive the read-epoch watermark. Commits log before
-        // they publish, so replayed upserts can carry commit epochs
-        // above the restored watermark word (and at genesis the word
-        // restarts at zero) — yet replay materializes only the latest
-        // version of each object, no archives, so every replayed epoch
-        // must sit at or below the watermark for snapshot readers to
-        // resolve it without a chain walk. The epoch counter resumes at
-        // the watermark: no commit was mid-flight (the crash ended them
-        // all), so no allocated-but-unpublished epoch can be pending.
-        let my_epoch_max = records
-            .iter()
-            .map(|r| match r {
-                RedoRecord::Upsert { bytes, .. } => holder_commit_epoch(bytes),
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0);
-        let epoch_max = ctx.allreduce_max_u64(my_epoch_max);
-        if me == 0 {
-            let w_word = eng.cfg().watermark_word();
-            let w = ctx
-                .aget_u64(crate::config::WIN_SYSTEM, 0, w_word)
-                .max(epoch_max);
-            ctx.aput_u64(crate::config::WIN_SYSTEM, 0, w_word, w);
-            let c_word = eng.cfg().epoch_counter_word();
-            if ctx.aget_u64(crate::config::WIN_SYSTEM, 0, c_word) < w {
-                ctx.aput_u64(crate::config::WIN_SYSTEM, 0, c_word, w);
-            }
-        }
-        // replicate the re-derived watermark into every rank's local
-        // shadow word (pins read the shadow — it must be at least `W`
-        // before any post-recovery reader pins)
-        ctx.barrier();
-        let w_now = ctx.aget_u64(crate::config::WIN_SYSTEM, 0, eng.cfg().watermark_word());
-        ctx.aput_u64(
-            crate::config::WIN_SYSTEM,
-            me,
-            eng.cfg().wmark_shadow_word(),
-            w_now,
-        );
-        // no reader survives a crash: clear any restored min-active-
-        // snapshot registration
-        ctx.aput_u64(
-            crate::config::WIN_SYSTEM,
-            me,
-            eng.cfg().snap_word(),
-            u64::MAX,
-        );
-        // same discipline for the topology-epoch word: jump past both
-        // the restored value and anything observed pre-restore, so no
-        // pre-crash view stamp can ever match again (replayed topology
-        // changes were applied without bumps), and drop this attach's
-        // own cached view
-        let topo_now = ctx.aget_u64(crate::config::WIN_SYSTEM, me, topo_word);
-        ctx.aput_u64(
-            crate::config::WIN_SYSTEM,
-            me,
-            topo_word,
-            topo_now.max(topo_before) + 1,
-        );
-        eng.drop_scan_cache();
-        ctx.barrier();
-
-        out.sim_restore_s = (ctx.now_ns() - sim0) / 1e9;
-        out.wall_restore_s = wall0.elapsed().as_secs_f64();
-
-        // ---- fresh checkpoint: the next crash replays from here -----
-        // Always a full rebase: a delta would chain this (possibly
-        // resharded — different rank count!) state onto the pre-crash
-        // chain, and the reshard path rebuilds windows logically, so
-        // its dirty map does not cover everything the old base lacks.
-        out.final_checkpoint = eng.checkpoint_full().ok();
-
-        self.stats.lock()[me] = Some(out.clone());
-        Ok(out)
     }
 }
 
-/// Commit epoch carried by an encoded holder image (0 when too short).
-fn holder_commit_epoch(bytes: &[u8]) -> u64 {
-    use crate::holder::COMMIT_EPOCH_OFFSET;
-    bytes
-        .get(COMMIT_EPOCH_OFFSET..COMMIT_EPOCH_OFFSET + 8)
-        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-        .unwrap_or(0)
-}
-
-/// Strip version-chain state from a replayed holder image: the archives
-/// its `prev` pointed at were never logged, so replaying the pointer
-/// would dangle into space that may be free or reused. Commit epoch
-/// (and the version stamp) are preserved — the recovered watermark is
-/// raised to cover every replayed epoch, so snapshot readers never need
-/// the missing chain. In-image archives of an overwritten occupant are
-/// deliberately left allocated-but-unreachable rather than freed:
-/// distinguishing them from reused blocks mid-replay is not worth the
-/// corruption risk, and the leak is bounded by the chain limit.
-fn sanitize_replayed_holder(bytes: &[u8]) -> Vec<u8> {
-    let mut out = bytes.to_vec();
-    if out.len() >= crate::holder::HEADER_BYTES {
-        let mut flags = u32::from_le_bytes(out[12..16].try_into().unwrap());
-        flags &= !crate::holder::DEPTH_MASK;
-        out[12..16].copy_from_slice(&flags.to_le_bytes());
-        out[40..48].fill(0); // prev
+/// Read `rank`'s redo segment for recovery and parse its tail above
+/// generation `min_gen`. Only a genuinely absent segment counts as an
+/// empty tail; any other I/O error surfaces rather than silently
+/// dropping commits. A torn or corrupt tail is cut off the file at the
+/// last valid frame: replay never reads past it, and appends after
+/// recovery must not land behind it. Returns the records and the valid
+/// byte length.
+fn read_redo_tail(
+    store: &PersistStore,
+    rank: usize,
+    min_gen: u64,
+) -> GdiResult<(Vec<RedoRecord>, usize)> {
+    let path = store.log_path(rank);
+    let mut bytes = match fs::read(&path) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(io_err("read redo segment", e)),
+    };
+    match store.probe_fault(faults::REDO_READ, rank) {
+        // silent media corruption: the frame checksum must catch it and
+        // the tail is cut at the last valid frame
+        Some(FaultMode::BitFlip(k)) => faults::flip_bit(&mut bytes, k),
+        Some(_) => return Err(GdiError::Io("injected redo read failure".into())),
+        None => {}
     }
-    out
-}
-
-/// Apply one redo record against the restored state. `seq` is the
-/// record's position in its log (the same-log ordering authority).
-/// Returns whether it was applied (`false` = skipped as stale).
-/// Quiesced single-writer: the phased replay guarantees no concurrency.
-fn apply_record(
-    eng: &GdaRank,
-    rec: &RedoRecord,
-    seq: usize,
-    plan: &RecoveryPlan,
-) -> GdiResult<bool> {
-    let ctx = eng.ctx();
-    let me = eng.rank();
-    match rec {
-        RedoRecord::Upsert {
-            primary,
-            app_id,
-            is_edge,
-            version,
-            bytes,
-        } => {
-            let dp = DPtr::from_raw(*primary);
-            let bytes = &sanitize_replayed_holder(bytes);
-            // a record at or before its object's tombstoned delete must
-            // never resurrect the object: "later than the delete" is a
-            // later position in the same log, or a newer version from
-            // another log (a genuine recreate)
-            let key = (*primary, *app_id, *is_edge);
-            {
-                let mut tombs = plan.tombstones.lock();
-                if let Some(&(t_ver, t_rank, t_seq)) = tombs.get(&key) {
-                    let later = if t_rank == me {
-                        seq > t_seq
-                    } else {
-                        *version > t_ver
-                    };
-                    if !later {
-                        return Ok(false);
-                    }
-                    tombs.remove(&key);
-                }
-            }
-            // a primary in the deferred-free set was vacated by a
-            // replayed delete, and one in the claimed set was already
-            // free at snapshot time. In both cases any bytes still
-            // decodable there are stale — possibly a pre-checkpoint
-            // incarnation of this very app id at an older version, left
-            // intact by its (pre-checkpoint, hence unlogged-in-the-tail)
-            // delete — and must not be read as an occupant: following
-            // the stale chain pointer would overwrite or double-free
-            // continuation blocks that belong to other objects now.
-            let vacant =
-                plan.deferred.lock().contains(primary) || plan.claimed.lock().contains(primary);
-            let occupant = if vacant {
-                None
-            } else {
-                hio::read_chain(ctx, eng.cfg(), dp)
-                    .ok()
-                    .and_then(|(cur, blocks)| Holder::try_decode(&cur).map(|h| (h, blocks)))
-            };
-            match occupant {
-                Some((cur, mut blocks)) if cur.app_id == *app_id && cur.is_edge == *is_edge => {
-                    if cur.version >= *version {
-                        return Ok(false); // replay is idempotent
-                    }
-                    // a shrinking rewrite must not release surplus
-                    // continuation blocks straight into the pool —
-                    // another not-yet-replayed record's primary could
-                    // still be one of them (it was allocated at
-                    // snapshot time, so sweep 1 could not reserve it).
-                    // Pop them into the deferred set ourselves; the
-                    // write then neither grows nor frees past `needed`.
-                    let needed = hio::blocks_needed(eng.cfg(), bytes.len());
-                    if blocks.len() > needed {
-                        let mut d = plan.deferred.lock();
-                        while blocks.len() > needed {
-                            d.insert(blocks.pop().unwrap().raw());
-                        }
-                    }
-                    hio::write_chain(ctx, &eng.bm, bytes, &mut blocks)?;
-                }
-                _ => {
-                    // vacant: reserved in sweep 1, vacated by a delete,
-                    // or stale bytes of a pre-checkpoint occupant whose
-                    // committed delete freed the block. Clearing the
-                    // claimed/deferred marks makes the block a genuine
-                    // occupant from here on: a later record of the same
-                    // object takes the occupant path (preserving the
-                    // chain just written) and end-of-replay won't
-                    // release it.
-                    eng.bm.acquire_at(dp);
-                    plan.deferred.lock().remove(primary);
-                    plan.claimed.lock().remove(primary);
-                    let mut blocks = vec![dp];
-                    hio::write_chain(ctx, &eng.bm, bytes, &mut blocks)?;
-                }
-            }
-            if !is_edge {
-                match eng.dht.lookup(*app_id) {
-                    Some(raw) if raw == *primary => {}
-                    Some(_) => {
-                        eng.dht.delete(*app_id);
-                        eng.dht.insert(*app_id, *primary)?;
-                    }
-                    None => eng.dht.insert(*app_id, *primary)?,
-                }
-                let holder = Holder::try_decode(bytes)
-                    .ok_or(GdiError::Io("corrupt holder in redo record".into()))?;
-                eng.indexes()
-                    .reindex_vertex(dp, AppVertexId(*app_id), Some(&holder.labels()));
-            }
-            Ok(true)
-        }
-        RedoRecord::Delete {
-            primary,
-            app_id,
-            is_edge,
-            version,
-        } => {
-            let dp = DPtr::from_raw(*primary);
-            // the logical delete is a committed fact: tombstone it for
-            // the upsert pass regardless of the physical state here
-            plan.tombstones
-                .lock()
-                .insert((*primary, *app_id, *is_edge), (*version, me, seq));
-            // a primary claimed out of a free list in sweep 1 was free
-            // at snapshot time: the object this delete targets exists
-            // only in not-yet-replayed upserts, and any decodable bytes
-            // are a stale earlier incarnation whose chain must not be
-            // freed (its continuation blocks belong to other objects)
-            if plan.claimed.lock().contains(primary) {
-                return Ok(false);
-            }
-            let vacated = plan.deferred.lock().contains(primary);
-            let Ok((cur, blocks)) = hio::read_chain(ctx, eng.cfg(), dp) else {
-                return Ok(false); // nothing physical to free
-            };
-            let Some(cur) = Holder::try_decode(&cur) else {
-                return Ok(false);
-            };
-            if vacated || cur.app_id != *app_id || cur.is_edge != *is_edge {
-                return Ok(false); // not (or no longer) this object
-            }
-            if cur.version > *version {
-                return Ok(false); // a newer state won (re-replay)
-            }
-            // defer the frees: pools are refilled only after the last
-            // phase, so no replayed chain can steal a primary another
-            // record still needs (see the module docs)
-            let mut d = plan.deferred.lock();
-            for b in blocks {
-                d.insert(b.raw());
-            }
-            drop(d);
-            if !is_edge {
-                if eng.dht.lookup(*app_id) == Some(*primary) {
-                    eng.dht.delete(*app_id);
-                }
-                eng.indexes().reindex_vertex(dp, AppVertexId(*app_id), None);
-            }
-            Ok(true)
+    let (records, valid_len) = parse_log(&bytes, min_gen);
+    if valid_len < bytes.len() {
+        if let Ok(f) = OpenOptions::new().write(true).open(&path) {
+            let _ = f.set_len(valid_len as u64);
         }
     }
+    Ok((records, valid_len))
 }
 
 /// Rebuild a database from its persistence directory: reads `CURRENT`,
@@ -2234,17 +1773,22 @@ pub fn recover(
 }
 
 /// [`recover`] with an **elastic target topology**: restore the latest
-/// snapshot (written by `P` ranks) onto `target_ranks = Some(Q)` ranks.
+/// snapshot (written by `P` ranks) onto `target_ranks = Some(Q)` ranks;
+/// `None` boots the snapshot's own topology (`Q = P`).
 ///
-/// `None` (or `Some(P)`) boots the snapshot's own topology and restores
-/// physically. For `Q ≠ P` the returned plan carries a full
-/// redistribution (see `docs/ARCHITECTURE.md` § Resharding): the logical database
-/// contents — every vertex, edge, property, index posting and DHT entry,
-/// snapshot *plus* replayed redo tails — are rebuilt on the `Q`-rank
-/// fabric under the new ownership map, and a fresh `Q`-topology
-/// checkpoint commits the reshard before the restore returns. The
-/// database's config is grown automatically where `Q` ranks need more
-/// per-rank capacity than `P` did (scale-in).
+/// Every recovery takes the same path (see `docs/ARCHITECTURE.md`
+/// § Durability and § Resharding). Here, before the fabric exists, the
+/// `P` snapshot shards and redo tails are read and replayed logically
+/// into one object map (the `reshard` module); the returned plan then
+/// redistributes that map collectively onto the `Q` live ranks — every
+/// vertex, edge, property, index posting and DHT entry, at freshly
+/// allocated addresses — and a closing full checkpoint at the `Q`
+/// topology commits the recovery before the restore returns. That
+/// checkpoint is mandatory for `Q = P` too: the new addresses do not
+/// match the old snapshot's address space, so post-recovery redo
+/// frames could not replay onto it. The database's config is grown
+/// automatically where the live ranks need more per-rank capacity
+/// (scale-in).
 pub fn recover_with_topology(
     opts: PersistOptions,
     cost: CostModel,
@@ -2280,20 +1824,16 @@ pub fn recover_with_topology(
     let backend = opts.backend;
     let store = PersistStore::new(opts, live_ranks, current, manifest.chain.clone());
 
-    // elastic path: read the P snapshot shards + logs and build the
-    // redistribution plan (same topology skips straight to the
-    // physical restore — `reshard` stays `None`)
-    let reshard = if live_ranks == snapshot_ranks {
-        None
-    } else {
-        let mut snapshots: Vec<Option<RankSnapshot>> = Vec::with_capacity(snapshot_ranks);
-        let mut snap_bytes = Vec::with_capacity(snapshot_ranks);
-        for rank in 0..snapshot_ranks {
-            if current == 0 {
-                snapshots.push(None); // genesis: logs only
-                snap_bytes.push(0);
-                continue;
-            }
+    // read the P snapshot shards + redo tails and replay them logically
+    let mut snapshots: Vec<Option<RankSnapshot>> = Vec::with_capacity(snapshot_ranks);
+    let mut snap_bytes = Vec::with_capacity(snapshot_ranks);
+    let mut logs: Vec<Vec<RedoRecord>> = Vec::with_capacity(snapshot_ranks);
+    let mut log_bytes = Vec::with_capacity(snapshot_ranks);
+    for rank in 0..snapshot_ranks {
+        if current == 0 {
+            snapshots.push(None); // genesis: logs only
+            snap_bytes.push(0);
+        } else {
             let snap = read_rank_snapshot_chain(
                 &store,
                 &manifest.chain,
@@ -2304,38 +1844,29 @@ pub fn recover_with_topology(
             snap_bytes.push(snap.bytes);
             snapshots.push(Some(snap));
         }
-        let mut logs: Vec<Vec<RedoRecord>> = Vec::with_capacity(snapshot_ranks);
-        let mut log_bytes = Vec::with_capacity(snapshot_ranks);
-        for rank in 0..snapshot_ranks {
-            // the P-topology logs are read-only here (no truncation):
-            // they must stay intact for a fallback same-topology
-            // recovery should the reshard abort
-            let bytes = match fs::read(store.log_path(rank)) {
-                Ok(b) => b,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-                Err(e) => return Err(io_err("read redo segment", e)),
-            };
-            let (records, valid_len) = parse_log(&bytes, current);
-            log_bytes.push(valid_len as u64);
-            logs.push(records);
-        }
-        Some(crate::reshard::plan(
-            &manifest.cfg,
-            crate::rankmap::RankMap::resharded(snapshot_ranks, live_ranks),
-            &manifest.index_defs,
-            &snapshots,
-            &logs,
-            snap_bytes,
-            log_bytes,
-        )?)
-    };
+        // frames stamped below the snapshot id are leftovers of a crash
+        // between publish and truncation (or a failed truncation):
+        // their commits are already in the restored chain
+        let (records, valid_len) = read_redo_tail(&store, rank, current)?;
+        log_bytes.push(valid_len as u64);
+        logs.push(records);
+    }
+    let reshard = crate::reshard::plan(
+        &manifest.cfg,
+        crate::rankmap::RankMap::resharded(snapshot_ranks, live_ranks),
+        &manifest.index_defs,
+        &snapshots,
+        &logs,
+        snap_bytes,
+        log_bytes,
+    )?;
+    // the object map holds everything the restore needs: free the
+    // window images before the fabric allocates its own windows
+    drop(snapshots);
 
-    // one construction tail for both paths; only the config differs
-    // (a reshard may have grown per-rank capacity for scale-in)
-    let cfg = reshard.as_ref().map_or(manifest.cfg, |r| r.cfg);
     let meta = MetaStore::from_parts(manifest.meta);
     let indexes = IndexShared::from_parts(live_ranks, manifest.index_defs, manifest.index_next_id);
-    let db = GdaDb::restore(&manifest.name, cfg, live_ranks, meta, indexes);
+    let db = GdaDb::restore(&manifest.name, reshard.cfg, live_ranks, meta, indexes);
     let faults_plane = store.fault_plane().clone();
     db.set_persistence(store);
     // the booted fabric shares the store's fault plane, so one arming
@@ -2346,9 +1877,6 @@ pub fn recover_with_topology(
     let plan = Arc::new(RecoveryPlan {
         snapshot_id: current,
         restored: (0..live_ranks).map(|_| AtomicBool::new(false)).collect(),
-        deferred: Mutex::new(FxHashSet::default()),
-        claimed: Mutex::new(FxHashSet::default()),
-        tombstones: Mutex::new(FxHashMap::default()),
         reshard,
         stats: Mutex::new(vec![None; live_ranks]),
     });
@@ -2359,6 +1887,7 @@ pub fn recover_with_topology(
 pub(crate) mod tests {
     use super::*;
     use gdi::{AccessMode, EdgeOrientation, PropertyValue, TxStatus};
+    use std::rc::Rc;
 
     /// A unique, self-cleaning persistence directory for one test.
     pub(crate) struct TestDir(pub PathBuf);
@@ -2658,12 +2187,12 @@ pub(crate) mod tests {
         });
     }
 
-    /// Regression: a replayed holder *shrink* must not release its
-    /// surplus continuation blocks straight into the pool. Sweep 1
-    /// cannot reserve a primary that was still allocated (as another
-    /// chain's continuation) at snapshot time, so a continuation block
-    /// freed mid-replay and re-acquired by a different chain would
-    /// later be clobbered by the record whose primary it became.
+    /// Regression: a replayed holder *shrink* frees continuation blocks
+    /// that later records reuse as primaries. A replay at the original
+    /// addresses that released them mid-replay let a different chain
+    /// re-acquire one, which the record whose primary it became later
+    /// clobbered. (The logical engine allocates every object afresh
+    /// after the whole replay.)
     /// Choreography: X (3 blocks, rank-1 pool) shrinks in rank 0's log;
     /// Y and Z (rank-1 owners, Z multi-block) are created afterwards —
     /// Y from rank 1's log, Z from rank 0's — reusing X's freed blocks
@@ -3035,18 +2564,19 @@ pub(crate) mod tests {
     /// can still decode as a stale incarnation of the very app id a
     /// post-checkpoint commit recreated there — the delete is not in
     /// the replayed tail, so nothing vacates the block. Replay must
-    /// treat a sweep-1-claimed primary as vacant: following the stale
-    /// chain makes `write_chain` reuse continuation blocks that belong
-    /// to other replayed records.
+    /// never read such bytes as an occupant: following the stale chain
+    /// overwrites continuation blocks that belong to other replayed
+    /// records. (The logical engine lifts only chains reachable from
+    /// the snapshot's DHT partitions and live edge records.)
     /// Choreography (2 ranks; apps 1/3/5 live in rank 1's pool):
     /// X (app 1, 3 blocks P→C1→C2) is created and deleted before the
     /// checkpoint, so the snapshot holds the intact stale chain with
     /// all three blocks free. After the checkpoint, rank 1 creates
     /// dummies that take C2 and C1 as their primaries, then rank 0
-    /// recreates app 1 — LIFO hands it P. Replay runs rank 0's log
-    /// first: at that moment the stale chain is still fully readable,
-    /// and mistaking it for an occupant writes app 1's 3-block holder
-    /// over C1/C2 — the dummies' primaries.
+    /// recreates app 1 — LIFO hands it P. A replay that applies rank
+    /// 0's log first still finds the stale chain fully readable, and
+    /// mistaking it for an occupant writes app 1's 3-block holder over
+    /// C1/C2 — the dummies' primaries.
     #[test]
     fn replay_ignores_stale_chain_of_precheckpoint_deleted_holder() {
         let td = TestDir::new("stalechain");
@@ -3229,9 +2759,8 @@ pub(crate) mod tests {
 
     /// Regression: an object created *and* deleted after the checkpoint
     /// leaves only refused records in the tail (the delete tombstones
-    /// its upsert). The primary sweep 1 claimed for the upsert must be
-    /// released at end of replay, not leaked into every later
-    /// checkpoint.
+    /// its upsert). Recovery must not leak a block for it into every
+    /// later checkpoint.
     #[test]
     fn refused_upsert_releases_claimed_primary() {
         let td = TestDir::new("refusedclaim");
@@ -3265,7 +2794,7 @@ pub(crate) mod tests {
             tx.translate_vertex_id(AppVertexId(1)).unwrap();
             assert!(tx.translate_vertex_id(AppVertexId(2)).is_err());
             tx.commit().unwrap();
-            // app 2's sweep-1-claimed primary went back to the pool
+            // no block of app 2 leaked: the pool drains back to full
             let tx = eng.begin(AccessMode::ReadWrite);
             let v = tx.translate_vertex_id(AppVertexId(1)).unwrap();
             tx.delete_vertex(v).unwrap();
@@ -3517,7 +3046,9 @@ pub(crate) mod tests {
     /// A mid-reshard failure on a *receiving* rank must abort the whole
     /// restore collectively (no barrier deadlock), leave `CURRENT` at
     /// the previous P-topology snapshot, and keep a plain same-topology
-    /// recovery of that snapshot fully working.
+    /// recovery of that snapshot fully working. The same holds at
+    /// `Q = P` when the mandatory closing checkpoint fails: every rank
+    /// fails the restore, nothing publishes, and a retry recovers.
     #[test]
     fn failed_reshard_keeps_previous_snapshot_recoverable() {
         let td = TestDir::new("failreshard");
@@ -3545,29 +3076,42 @@ pub(crate) mod tests {
                 ctx.barrier();
             });
         }
-        {
-            let (db, fabric, plan) =
-                recover_with_topology(PersistOptions::new(&td.0), CostModel::zero(), Some(4))
-                    .unwrap();
-            db.persistence().unwrap().fault_plane().arm_at(
-                faults::RESHARD_REDISTRIBUTE,
-                Some(1),
-                0,
-                1,
-                FaultMode::Error,
-            );
-            let results = fabric.run(|ctx| {
-                let eng = db.attach(ctx);
-                plan.restore_rank(&eng).err()
-            });
-            assert!(
-                results.iter().all(|e| e.is_some()),
-                "every rank must observe the collective abort: {results:?}"
+        // (target topology, fault point): a receiving rank failing the
+        // redistribution at Q = 4, and rank 1 failing its snapshot write
+        // in the closing checkpoint at Q = P = 2
+        for (target, point) in [
+            (Some(4), faults::RESHARD_REDISTRIBUTE),
+            (None, faults::SNAP_WRITE),
+        ] {
+            {
+                let (db, fabric, plan) =
+                    recover_with_topology(PersistOptions::new(&td.0), CostModel::zero(), target)
+                        .unwrap();
+                let store = db.persistence().unwrap();
+                store
+                    .fault_plane()
+                    .arm_at(point, Some(1), 0, 1, FaultMode::Error);
+                let results = fabric.run(|ctx| {
+                    let eng = db.attach(ctx);
+                    plan.restore_rank(&eng).err()
+                });
+                assert!(
+                    results.iter().all(|e| e.is_some()),
+                    "{point}: every rank must observe the collective abort: {results:?}"
+                );
+                assert!(
+                    !store.ckpt_dir_exists(2),
+                    "{point}: partial checkpoint left"
+                );
+            }
+            // CURRENT still names the P-topology snapshot...
+            let cur = fs::read_to_string(td.0.join("CURRENT")).unwrap();
+            assert_eq!(
+                cur.trim(),
+                "1",
+                "{point}: aborted recovery must not publish"
             );
         }
-        // CURRENT still names the P-topology snapshot...
-        let cur = fs::read_to_string(td.0.join("CURRENT")).unwrap();
-        assert_eq!(cur.trim(), "1", "aborted reshard must not publish");
         // ...and the untouched snapshot + logs recover at P as before
         let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
         assert_eq!(db.nranks(), 2);
@@ -3580,6 +3124,67 @@ pub(crate) mod tests {
                 tx.translate_vertex_id(AppVertexId(i)).unwrap();
             }
             tx.commit().unwrap();
+        });
+    }
+
+    /// A scan view stamped before a restore must never revalidate after
+    /// it: the restore rebuilds every rank's storage at new addresses,
+    /// so it lifts each topology-epoch word strictly above any value a
+    /// view could carry, and the next `olap_view` sees the restored
+    /// graph.
+    #[test]
+    fn prerestore_scan_view_never_revalidates() {
+        let td = TestDir::new("viewguard");
+        let cfg = GdaConfig::tiny();
+        {
+            let (db, fabric) = GdaDb::with_fabric("vg", cfg, 2, CostModel::zero());
+            db.enable_persistence(PersistOptions::new(&td.0)).unwrap();
+            fabric.run(|ctx| {
+                let eng = db.attach(ctx);
+                eng.init_collective();
+                if ctx.rank() == 0 {
+                    let tx = eng.begin(AccessMode::ReadWrite);
+                    let vs: Vec<DPtr> = (0..6u64)
+                        .map(|i| tx.create_vertex(AppVertexId(i)).unwrap())
+                        .collect();
+                    tx.add_edge(vs[0], vs[1], None, true).unwrap();
+                    tx.commit().unwrap();
+                }
+                ctx.barrier();
+                eng.checkpoint().unwrap();
+                if ctx.rank() == 1 {
+                    let tx = eng.begin(AccessMode::ReadWrite);
+                    let a = tx.translate_vertex_id(AppVertexId(2)).unwrap();
+                    let b = tx.translate_vertex_id(AppVertexId(5)).unwrap();
+                    tx.add_edge(a, b, None, true).unwrap();
+                    tx.commit().unwrap();
+                }
+                ctx.barrier();
+            });
+        }
+        let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+        fabric.run(|ctx| {
+            let eng = db.attach(ctx);
+            // a view of this attach's storage before the restore, stamped
+            // at a nonzero topology epoch
+            eng.init_collective();
+            for _ in 0..3 {
+                eng.bump_topology_epoch(ctx.rank());
+            }
+            ctx.barrier();
+            let before = eng.olap_view();
+            assert!(crate::scan::revalidate(&eng, &before));
+            plan.restore_rank(&eng).unwrap();
+            assert!(
+                !crate::scan::revalidate(&eng, &before),
+                "a pre-restore view revalidated after recovery"
+            );
+            let after = eng.olap_view();
+            assert!(!Rc::ptr_eq(&before, &after));
+            let total = ctx.allreduce_sum_u64(after.len() as u64);
+            assert_eq!(total, 6, "the rebuilt view covers the restored graph");
+            let edges: usize = (0..after.len()).map(|i| after.out(i).len()).sum();
+            assert_eq!(ctx.allreduce_sum_u64(edges as u64), 2);
         });
     }
 

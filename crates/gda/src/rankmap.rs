@@ -109,7 +109,7 @@ impl RankMap {
     }
 
     /// The live rank responsible for reading snapshot shard `s` (its
-    /// snapshot file and redo segment) during a resharded restore.
+    /// snapshot file and redo segment) during a restore.
     /// Round-robin over the live ranks: every shard has exactly one
     /// reader, and shards spread evenly over readers for `Q < P`.
     #[inline]

@@ -1,50 +1,58 @@
-//! Elastic resharded recovery: restore a `P`-rank snapshot onto `Q`
-//! live ranks (`Q ≠ P`).
+//! Recovery: restore a `P`-rank snapshot plus its redo tails onto `Q`
+//! live ranks — `Q ≠ P` (an elastic reshard) and `Q = P` alike.
 //!
-//! A same-topology recovery (`crate::persist`) is *physical*: window
-//! bytes are put back verbatim and the redo tails replay against them,
-//! because every persisted `DPtr` is still a valid address. Under a
-//! different rank count nothing survives verbatim — vertex ownership
+//! There is one recovery engine, and it is logical. Under a different
+//! rank count nothing on disk survives verbatim: vertex ownership
 //! (`app mod P` → `app mod Q`), DHT placement (`h(k) mod P` →
 //! `h(k) mod Q`), block addresses, index partitions and every `DPtr`
-//! embedded in holder bytes all change meaning. Resharding therefore
-//! runs in two halves:
+//! embedded in holder bytes all change meaning. The same-topology case
+//! runs the identical path with an identity [`RankMap`]. Recovery runs
+//! in two halves:
 //!
 //! 1. **Logical reconstruction** ([`plan`], single-threaded, before the
 //!    live fabric exists): lift the committed state out of the `P`
 //!    snapshot images ([`crate::dht::decode_partition`] enumerates the
 //!    vertices, [`crate::hio::read_chain_bytes`] lifts the holder
 //!    chains, snapshot postings seed index membership), then replay the
-//!    `P` redo logs **logically** against that object map with exactly
-//!    the same ordering rules the physical replay uses — deletes first
-//!    with identity-keyed tombstones, then upserts in log order, refused
-//!    at or below their object's tombstone, cross-log ties broken by the
-//!    commit-stamp versions. The result is one map `old primary →
-//!    (app id, version, holder bytes, index membership)` plus the
-//!    ownership decisions of the new topology (a [`RankMap`]) and a
-//!    live config grown to fit the data on `Q` ranks (scale-in needs
-//!    more blocks and DHT heap per rank).
+//!    `P` redo logs **logically** against that object map. The replay
+//!    ordering rules live here and only here: every committed delete
+//!    lands first and leaves an identity-keyed tombstone; then upserts
+//!    apply in log order. An upsert at or before its object's tombstone
+//!    is refused ("later" means a later position in the same log, or a
+//!    newer commit-stamp version from another log), so a stale mirror
+//!    update can never resurrect a deleted vertex. An upsert is also
+//!    refused when a live state of the same object is at least as new,
+//!    which makes replay idempotent. The result is one map
+//!    `old primary → (app id, version, holder bytes, index membership)`
+//!    plus the ownership decisions of the live topology (a [`RankMap`])
+//!    and a live config grown to fit the data on `Q` ranks (scale-in
+//!    needs more blocks and DHT heap per rank).
 //! 2. **Collective redistribution** ([`restore_rank_resharded`], every
 //!    rank of the fresh `Q`-rank fabric): phase-by-phase with abort
 //!    votes between phases — allocate every object's new primary on its
-//!    new owner rank (filling the shared old→new remap table), then
+//!    owner rank (filling the shared old→new remap table), then
 //!    materialize: rewrite each holder's edge records through the remap
-//!    table, write the chains, insert DHT entries under the new
+//!    table, write the chains, insert DHT entries under the live
 //!    placement (quiet inserts + one collective epoch bump, the bulk-
 //!    load discipline), import the index postings, raise every commit-
-//!    stamp counter above the largest live version, and finish with a
-//!    **mandatory** fresh checkpoint at the `Q` topology.
+//!    stamp counter above the largest live version, bump every
+//!    topology-epoch word past any value a scan view could have been
+//!    stamped with, and finish with a **mandatory** full checkpoint at
+//!    the `Q` topology.
 //!
 //! ## Failure semantics
 //!
-//! A reshard *commits only through its closing checkpoint*: until that
+//! A recovery *commits only through its closing checkpoint*: until that
 //! checkpoint publishes, `CURRENT` still names the `P`-topology
-//! snapshot, and the `P` redo segments are untouched (read-only). Any
-//! mid-reshard failure — a receiving rank erroring during
-//! redistribution, a corrupt shard, a failed closing checkpoint — is
-//! voted collectively (no barrier deadlocks), surfaces on every rank,
-//! and leaves the previous snapshot fully recoverable at the original
-//! topology.
+//! snapshot, and the `P` redo segments keep every committed frame (the
+//! only write to them is cutting a torn tail at the last valid frame).
+//! The checkpoint is mandatory at `Q = P` too: redistribution allocates
+//! fresh block addresses, so redo frames appended after recovery would
+//! not match the old snapshot's address space. Any failure — a
+//! receiving rank erroring during redistribution, a corrupt shard, a
+//! failed closing checkpoint — is voted collectively (no barrier
+//! deadlocks), surfaces on every rank, and leaves the previous snapshot
+//! fully recoverable at the original topology.
 
 use parking_lot::RwLock;
 use rustc_hash::FxHashMap;
@@ -170,8 +178,7 @@ pub(crate) fn plan(
     // ---- seed from the snapshot images ------------------------------
     // Index membership is *not* re-derived from labels for snapshot
     // residents: a vertex created before an index existed is not in it,
-    // and the physical restore preserves that by importing postings
-    // verbatim. Same here.
+    // so the snapshot's postings are the authority.
     let mut member: FxHashMap<u64, Vec<IndexId>> = FxHashMap::default();
     for snap in snapshots.iter().flatten() {
         for (ix, ps) in &snap.postings {
@@ -243,12 +250,12 @@ pub(crate) fn plan(
     }
 
     // ---- logical redo replay ----------------------------------------
-    // Same ordering rules as the physical `apply_record` path: all
-    // committed deletes land (or tombstone) first, keyed by object
+    // All committed deletes land (or tombstone) first, keyed by object
     // identity; then upserts in log order, refused at or before their
     // object's tombstone ("later" = a later position in the same log,
     // or a newer commit-stamp version cross-log), and refused when an
-    // already-live state of the same object is at least as new.
+    // already-live state of the same object is at least as new (see
+    // the module docs).
     type TombKey = (u64, u64, bool);
     let mut tombs: FxHashMap<TombKey, (u64, usize, usize)> = FxHashMap::default();
     let mut replay = ReplayCounts::default();
@@ -439,9 +446,8 @@ fn vote(ctx: &rma::RankCtx, my_err: Option<GdiError>) -> GdiResult<()> {
 }
 
 /// The collective redistribution body behind
-/// [`crate::persist::RecoveryPlan::restore_rank`] when the plan carries
-/// a [`ReshardState`]. Every rank of the `Q`-rank fabric runs it once,
-/// together.
+/// [`crate::persist::RecoveryPlan::restore_rank`]. Every rank of the
+/// `Q`-rank fabric runs it once, together.
 pub(crate) fn restore_rank_resharded(
     rs: &ReshardState,
     eng: &GdaRank,
@@ -454,7 +460,7 @@ pub(crate) fn restore_rank_resharded(
     let sim0 = ctx.now_ns();
     let mut out = RankRecovery {
         rank: me,
-        resharded_from: Some(rs.map.snapshot_ranks()),
+        resharded_from: (!rs.map.is_identity()).then(|| rs.map.snapshot_ranks()),
         ..Default::default()
     };
 
@@ -609,6 +615,10 @@ pub(crate) fn restore_rank_resharded(
 
     // ---- phase 4: epochs + commit stamps ----------------------------
     eng.dht.bump_own_insert_epoch();
+    // `init_collective` leaves the topology-epoch word alone, so one
+    // bump lifts it strictly above every value a scan view built before
+    // the restore could carry: such a view never revalidates
+    eng.bump_topology_epoch(me);
     // every future commit must stamp strictly above anything alive
     let stamp_word = eng.cfg().stamp_word();
     let cur = ctx.aget_u64(WIN_SYSTEM, me, stamp_word);
@@ -621,16 +631,14 @@ pub(crate) fn restore_rank_resharded(
     out.wall_restore_s = wall0.elapsed().as_secs_f64();
 
     // ---- phase 5: the committing checkpoint -------------------------
-    // Unlike a same-topology recovery (where a failed end-of-recovery
-    // checkpoint is tolerable — the old snapshot + still-valid logs
-    // cover the state), a reshard is durable *only* through this
-    // publish: until it lands, `CURRENT` names the P-topology snapshot,
-    // and post-reshard commits would be stranded on a topology the
-    // pointer does not describe. A failure is therefore a recovery
+    // The recovery is durable *only* through this publish: until it
+    // lands, `CURRENT` names the P-topology snapshot, whose address
+    // space the redistributed objects no longer use, so post-recovery
+    // commits would be stranded. A failure is therefore a recovery
     // failure (checkpoint errors are already collective).
-    // Always a full rebase: a delta here would chain the Q-topology
-    // windows onto the P-topology chain, which no later recovery could
-    // read (the shard identity — rank count — changed underneath it).
+    // Always a full rebase: a delta would chain the rebuilt windows onto
+    // a chain whose addresses (and, for Q ≠ P, shard identity) no longer
+    // describe them.
     out.final_checkpoint = Some(eng.checkpoint_full()?);
     Ok(out)
 }

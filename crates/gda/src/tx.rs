@@ -290,7 +290,11 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                 // MVCC writer's lock-free first-touch read turning into a
                 // write intent: take the write lock *now* (write-write
                 // conflict detection), then refetch — the lockless copy
-                // may be stale and carries no block list or pre-image
+                // carries no block list or pre-image. A refetched version
+                // newer than the one this transaction read means another
+                // writer committed in between: first committer wins, so
+                // this transaction aborts instead of overwriting an
+                // update it never saw (no lost update).
                 if let Err(e) = self.eng.lm.acquire_write(id) {
                     drop(cache);
                     if abort_on_critical {
@@ -298,11 +302,12 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                     }
                     return Err(e);
                 }
+                let read_version = obj.holder.version;
                 let refetched = hio::read_chain(self.eng.ctx, self.eng.cfg(), id).and_then(
-                    |(bytes, blocks)| {
-                        Holder::try_decode(&bytes)
-                            .map(|h| (h, blocks, bytes))
-                            .ok_or(GdiError::NotFound("object (stale internal id)"))
+                    |(bytes, blocks)| match Holder::try_decode(&bytes) {
+                        None => Err(GdiError::NotFound("object (stale internal id)")),
+                        Some(h) if h.version != read_version => Err(GdiError::LockConflict),
+                        Some(h) => Ok((h, blocks, bytes)),
                     },
                 );
                 match refetched {
@@ -313,8 +318,8 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                         obj.lock = Some(LockKind::Write);
                     }
                     Err(e) => {
-                        // concurrently deleted under our nose: release and
-                        // surface — nothing to write
+                        // concurrently deleted or overwritten since our
+                        // read: release and surface — nothing to write
                         self.eng.lm.release(id, LockKind::Write);
                         drop(cache);
                         if abort_on_critical {

@@ -518,6 +518,101 @@ fn write_conflicts_abort_not_corrupt() {
     assert!(total > 0, "no transaction ever committed");
 }
 
+/// The lost-update interleaving, choreographed with barriers: rank 0's
+/// read-write transaction (`begin` when `grouped` is false, the
+/// server's `begin_grouped` otherwise) reads counter vertex `app(1)`;
+/// rank 1 then updates and commits it; rank 0 then tries to write it.
+/// `write` performs rank 0's write attempt against the value it read
+/// and returns its outcome. Returns the committed final value.
+fn read_then_concurrent_commit(
+    grouped: bool,
+    write: impl Fn(&gda::Transaction, gda::DPtr, gdi::PTypeId, u64) -> Result<(), GdiError> + Sync,
+) -> u64 {
+    let cfg = GdaConfig::tiny();
+    assert!(cfg.mvcc, "the lock-free read path is the MVCC one");
+    let (db, fabric) = GdaDb::with_fabric("lu", cfg, 2, CostModel::zero());
+    let finals = fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        eng.init_collective();
+        if ctx.rank() == 0 {
+            eng.create_ptype(
+                "n",
+                Datatype::Uint64,
+                EntityType::Vertex,
+                Multiplicity::Single,
+                SizeType::Fixed,
+                1,
+            )
+            .unwrap();
+            let tx = eng.begin(AccessMode::ReadWrite);
+            let v = tx.create_vertex(app(1)).unwrap();
+            let n = eng.meta().ptype_from_name("n").unwrap();
+            tx.add_property(v, n, &PropertyValue::U64(5)).unwrap();
+            tx.commit().unwrap();
+        }
+        ctx.barrier();
+        eng.refresh_meta();
+        let n = eng.meta().ptype_from_name("n").unwrap();
+        if ctx.rank() == 0 {
+            let tx = if grouped {
+                eng.begin_grouped(AccessMode::ReadWrite)
+            } else {
+                eng.begin(AccessMode::ReadWrite)
+            };
+            let v = tx.translate_vertex_id(app(1)).unwrap();
+            let read = tx.property(v, n).unwrap().unwrap().as_u64().unwrap();
+            assert_eq!(read, 5);
+            ctx.barrier(); // T1 has read v
+            ctx.barrier(); // T2 has committed v
+            let r = write(&tx, v, n, read);
+            assert_eq!(r, Err(GdiError::LockConflict), "T1 must not overwrite T2");
+            if tx.status().is_active() {
+                tx.commit().unwrap();
+            }
+        } else {
+            ctx.barrier();
+            let tx = eng.begin(AccessMode::ReadWrite);
+            let v = tx.translate_vertex_id(app(1)).unwrap();
+            tx.update_property(v, n, &PropertyValue::U64(100)).unwrap();
+            tx.commit().unwrap();
+            ctx.barrier();
+        }
+        ctx.barrier();
+        let tx = eng.begin(AccessMode::ReadOnly);
+        let v = tx.translate_vertex_id(app(1)).unwrap();
+        let fin = tx.property(v, n).unwrap().unwrap().as_u64().unwrap();
+        tx.commit().unwrap();
+        fin
+    });
+    assert_eq!(finals[0], finals[1]);
+    finals[0]
+}
+
+#[test]
+fn read_then_concurrent_commit_aborts_the_later_writer() {
+    let fin = read_then_concurrent_commit(false, |tx, v, n, read| {
+        let r = tx.update_property(v, n, &PropertyValue::U64(read + 1));
+        // first committer wins: the conflict aborts T1 on the spot
+        assert_eq!(tx.status(), TxStatus::Aborted);
+        r
+    });
+    assert_eq!(fin, 100, "lost update");
+}
+
+#[test]
+fn grouped_prepare_write_refuses_a_stale_read() {
+    let fin = read_then_concurrent_commit(true, |tx, v, n, read| {
+        let r = tx.prepare_write(v);
+        // the batcher's probe never poisons the shared transaction
+        assert!(tx.status().is_active());
+        if r.is_ok() {
+            tx.update_property(v, n, &PropertyValue::U64(read + 1))?;
+        }
+        r
+    });
+    assert_eq!(fin, 100, "lost update");
+}
+
 #[test]
 fn collective_read_transaction_scans_index() {
     let cfg = GdaConfig::tiny();
